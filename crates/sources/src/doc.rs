@@ -23,13 +23,12 @@
 //! exports to the mediator as wrapper cost rules — a cost shape the
 //! generic page-I/O model cannot express.
 
-use disco_algebra::{CompareOp, LogicalPlan};
-use disco_catalog::{AttributeStats, CollectionStats, ExtentStats};
+use disco_algebra::LogicalPlan;
+use disco_catalog::{CollectionStats, ExtentStats};
 use disco_common::{AttributeDef, DataType, DiscoError, Result, Schema, Tuple, Value};
 
-use crate::clock::VirtualClock;
-use crate::exec;
-use crate::source::{DataSource, ExecStats, SubAnswer};
+use crate::interp::{self, AccessPaths, Charges, Rows, Run, SessionEnd};
+use crate::source::{DataSource, SubAnswer};
 
 /// A nested document value. Objects keep declaration order, which makes
 /// flattening (and therefore every downstream answer) deterministic.
@@ -333,86 +332,46 @@ impl DocSource {
             output = self.output_ms,
         )
     }
+}
 
-    fn exec(
-        &self,
-        plan: &LogicalPlan,
-        clock: &mut VirtualClock,
-        scanned: &mut u64,
-    ) -> Result<(Schema, Vec<Tuple>)> {
-        match plan {
-            LogicalPlan::Scan { collection, .. } => {
-                let c = self.collection(&collection.collection)?;
-                clock.charge(self.open_ms);
-                clock.charge(c.docs.len() as f64 * c.nav_depth() as f64 * self.nav_ms);
-                *scanned += c.docs.len() as u64;
-                Ok((c.schema(), c.flatten()))
-            }
-            LogicalPlan::Select { input, predicate } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(
-                    tuples.len() as f64 * predicate.conjuncts.len() as f64 * self.cpu_pred_ms,
-                );
-                let out = exec::filter(&schema, &tuples, predicate)?;
-                Ok((schema, out))
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                exec::project(&schema, &tuples, columns)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(input, clock, scanned)?;
-                let n = tuples.len() as f64;
-                clock.charge(self.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                let (ls, lt) = self.exec(left, clock, scanned)?;
-                let (rs, rt) = self.exec(right, clock, scanned)?;
-                let out_schema = ls.join(&rs);
-                let out = if predicate.op == CompareOp::Eq {
-                    clock.charge((lt.len() + rt.len()) as f64 * self.cpu_hash_ms);
-                    exec::hash_join(&ls, &lt, &rs, &rt, predicate)?
-                } else {
-                    clock.charge((lt.len() * rt.len()) as f64 * self.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
-                };
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(left, clock, scanned)?;
-                let (rs, rt) = self.exec(right, clock, scanned)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                lt.extend(rt);
-                Ok((ls, lt))
-            }
-            LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                Ok((schema, exec::dedup(&tuples)))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, tuples) = self.exec(input, clock, scanned)?;
-                clock.charge(tuples.len() as f64 * self.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
-                Ok((plan.output_schema()?, out))
-            }
-            LogicalPlan::Submit { .. } => Err(DiscoError::Source(
-                "data sources do not execute `submit` operators".into(),
-            )),
+/// Documents carry no indexes: every selection and join runs over the
+/// flattened scan.
+impl AccessPaths for DocSource {
+    type Session<'a> = ();
+    type Inner<'a> = ();
+
+    /// Projection hashes its rows; join output and union are free.
+    fn charges(&self) -> Charges {
+        Charges {
+            pred: self.cpu_pred_ms,
+            project: self.cpu_hash_ms,
+            hash: self.cpu_hash_ms,
+            join_output: 0.0,
+            union_row: 0.0,
+            sort_factor: self.sort_factor_ms,
+            probe: 0.0,
+            output: self.output_ms,
+            overhead: 0.0,
+        }
+    }
+
+    fn open(&self) {}
+
+    fn scan(&self, r: &mut Run<()>, coll: &str) -> Result<Rows> {
+        let c = self.collection(coll)?;
+        r.charge(self.open_ms);
+        r.charge(c.docs.len() as f64 * c.nav_depth() as f64 * self.nav_ms);
+        r.scanned += c.docs.len() as u64;
+        Ok((c.schema(), c.flatten()))
+    }
+
+    /// A pipelined answer starts once the collection is open.
+    fn finish(&self, _: &mut Run<()>) -> SessionEnd {
+        SessionEnd {
+            pages_read: 0,
+            buffer_hits: 0,
+            first_floor_ms: self.open_ms,
+            pool: None,
         }
     }
 }
@@ -431,83 +390,33 @@ impl DataSource for DocSource {
 
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collection(collection).ok()?;
-        let schema = c.schema();
         let tuples = c.flatten();
         let n = tuples.len() as u64;
         let total: u64 = tuples.iter().map(Tuple::width).sum();
-        let mut stats = CollectionStats::new(ExtentStats {
+        let extent = ExtentStats {
             count_object: n,
             total_size: total,
             object_size: (total / n.max(1)).max(1),
             count_page: None,
-        });
-        for (i, attr) in schema.attributes().iter().enumerate() {
-            let mut distinct = std::collections::BTreeSet::new();
-            let (mut min, mut max): (Option<Value>, Option<Value>) = (None, None);
-            for t in &tuples {
-                let Some(v) = t.get(i) else { continue };
-                if *v == Value::Null {
-                    continue;
-                }
-                distinct.insert(format!("{v}"));
-                if min
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_lt())
-                    .unwrap_or(true)
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_gt())
-                    .unwrap_or(true)
-                {
-                    max = Some(v.clone());
-                }
-            }
-            stats = stats.with_attribute(
-                attr.name.clone(),
-                AttributeStats::new(
-                    distinct.len().max(1) as u64,
-                    min.unwrap_or(Value::Null),
-                    max.unwrap_or(Value::Null),
-                ),
-            );
-        }
-        Some(stats)
+        };
+        Some(interp::statistics(
+            &c.schema(),
+            &tuples,
+            extent,
+            |_| false,
+            None,
+        ))
     }
 
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
-        let mut clock = VirtualClock::new();
-        let mut scanned = 0u64;
-        let (schema, tuples) = self.exec(plan, &mut clock, &mut scanned)?;
-        let produced = clock.now();
-        clock.charge(tuples.len() as f64 * self.output_ms);
-        let elapsed = clock.now();
-        let one = (!tuples.is_empty()) as u64 as f64;
-        let time_first = if crate::store::blocking_root(plan) {
-            produced + one * self.output_ms
-        } else {
-            self.open_ms + one * self.output_ms
-        };
-        Ok(SubAnswer {
-            schema,
-            tuples,
-            stats: ExecStats {
-                elapsed_ms: elapsed,
-                time_first_ms: time_first.min(elapsed),
-                pages_read: 0,
-                buffer_hits: 0,
-                objects_scanned: scanned,
-            },
-        })
+        interp::execute(self, plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_algebra::PlanBuilder;
+    use disco_algebra::{CompareOp, PlanBuilder};
     use disco_common::QualifiedName;
 
     fn orders() -> DocSource {

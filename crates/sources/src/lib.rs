@@ -18,6 +18,12 @@
 //! * [`btree`] — a from-scratch B+-tree used for index scans;
 //! * [`exec`] — in-memory row-at-a-time operator implementations shared
 //!   by the sources and kept as the reference semantics;
+//! * `interp` (crate-private) — the one wrapper-side plan interpreter.
+//!   [`PagedStore`], [`StoreSource`] and [`DocSource`] each supply only
+//!   an `AccessPaths` implementation: a per-query session, scan,
+//!   index-select and index-join leaves, a charge table and a finish
+//!   hook. The operator walk, the [`SubAnswer`] envelope and the
+//!   statistics exporter exist once;
 //! * [`vexec`] — vectorized counterparts over columnar batches, used by
 //!   the mediator's combine phase;
 //! * [`vstream`] — pull-based streaming versions of the vectorized
@@ -39,6 +45,7 @@ pub mod doc;
 pub mod exec;
 pub mod flatfile;
 pub mod heap;
+mod interp;
 pub mod source;
 pub mod store;
 pub mod vexec;

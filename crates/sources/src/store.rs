@@ -3,34 +3,34 @@
 //!
 //! A [`PagedStore`] holds collections laid out on simulated pages
 //! ([`HeapFile`]), optionally indexed ([`BPlusTree`]) and optionally
-//! clustered. Executing a subplan really performs the page accesses
-//! through a cold LRU [`BufferPool`] and charges the source's
-//! [`CostProfile`] to a [`VirtualClock`] — the "Experiment" series of
+//! clustered. Executing a subplan (through the crate's shared
+//! wrapper-side interpreter) really performs the page accesses through
+//! a cold LRU [`BufferPool`] and charges the source's [`CostProfile`] to
+//! a [`VirtualClock`](crate::clock::VirtualClock) — the "Experiment" series of
 //! Figure 12 is the elapsed time this engine reports for index scans at
 //! varying selectivity.
 
 use std::collections::BTreeMap;
 
-use disco_algebra::{CompareOp, LogicalPlan};
-use disco_catalog::{AttributeStats, CollectionStats, ExtentStats};
+use disco_algebra::{LogicalPlan, SelectPredicate};
+use disco_catalog::{CollectionStats, ExtentStats};
 use disco_common::rng::StdRng;
 use disco_common::{rng, DiscoError, Result, Schema, Tuple, Value};
 
 use crate::btree::BPlusTree;
 use crate::buffer::BufferPool;
-use crate::clock::{CostProfile, VirtualClock};
-use crate::exec;
+use crate::clock::CostProfile;
 use crate::heap::{HeapFile, Placement};
-use crate::source::{DataSource, ExecStats, SubAnswer};
+use crate::interp::{self, AccessPaths, Charges, Rows, Run, SessionEnd};
+use crate::source::{DataSource, SubAnswer};
 
 /// One collection stored in the engine.
 #[derive(Debug, Clone)]
-struct StoredCollection {
+pub(crate) struct StoredCollection {
     schema: Schema,
     tuples: Vec<Tuple>,
     heap: HeapFile,
     indexes: BTreeMap<String, BPlusTree>,
-    clustered_on: Option<String>,
     object_size: u64,
     /// Offset added to local page numbers so collections share the
     /// buffer pool without collisions.
@@ -154,12 +154,12 @@ impl CollectionBuilder {
             let idx = self.schema.index_of(attr).ok_or_else(|| {
                 DiscoError::Source(format!("cannot index unknown attribute `{attr}`"))
             })?;
-            let tree = BPlusTree::build(
-                self.tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(rid, t)| (t.get(idx).cloned().unwrap_or(Value::Null), rid as u32)),
-            );
+            // NULL matches no comparison, so it is never indexed.
+            let tree = BPlusTree::build(self.tuples.iter().enumerate().filter_map(|(rid, t)| {
+                t.get(idx)
+                    .filter(|v| !v.is_null())
+                    .map(|v| (v.clone(), rid as u32))
+            }));
             indexes.insert(attr.clone(), tree);
         }
         Ok(StoredCollection {
@@ -167,7 +167,6 @@ impl CollectionBuilder {
             tuples: self.tuples,
             heap,
             indexes,
-            clustered_on: self.cluster_on,
             object_size,
             page_base,
         })
@@ -257,156 +256,101 @@ impl PagedStore {
     pub fn pages_of(&self, collection: &str) -> Result<u64> {
         Ok(self.collection(collection)?.heap.pages())
     }
+}
 
-    fn exec(
-        &self,
-        plan: &LogicalPlan,
-        clock: &mut VirtualClock,
-        buf: &mut BufferPool,
-        scanned: &mut u64,
-    ) -> Result<(Schema, Vec<Tuple>)> {
-        let p = &self.profile;
-        match plan {
-            LogicalPlan::Scan { collection, .. } => {
-                let c = self.collection(&collection.collection)?;
-                // Full sequential read: every page once, in storage order.
-                for page in 0..c.heap.pages() {
-                    buf.access(c.page_base + page, p, clock);
-                }
-                clock.charge(c.tuples.len() as f64 * p.cpu_scan_ms);
-                *scanned += c.tuples.len() as u64;
-                Ok((c.schema.clone(), c.tuples.clone()))
-            }
-            LogicalPlan::Select { input, predicate } => {
-                // Index access path: single-conjunct selection directly
-                // over a stored collection with a matching index.
-                if let LogicalPlan::Scan { collection, .. } = input.as_ref() {
-                    if let [cond] = predicate.conjuncts.as_slice() {
-                        let c = self.collection(&collection.collection)?;
-                        if let Some(tree) = c.indexes.get(&cond.attribute) {
-                            if let Some(rids) = tree.scan(cond.op, &cond.value) {
-                                clock.charge(p.probe_ms);
-                                let mut out = Vec::with_capacity(rids.len());
-                                for rid in rids {
-                                    let page = c.heap.page_of(rid as usize);
-                                    buf.access(c.page_base + page, p, clock);
-                                    clock.charge(p.cpu_scan_ms);
-                                    *scanned += 1;
-                                    out.push(c.tuples[rid as usize].clone());
-                                }
-                                return Ok((c.schema.clone(), out));
-                            }
-                        }
-                    }
-                }
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock
-                    .charge(tuples.len() as f64 * predicate.conjuncts.len() as f64 * p.cpu_pred_ms);
-                let out = exec::filter(&schema, &tuples, predicate)?;
-                Ok((schema, out))
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_scan_ms);
-                exec::project(&schema, &tuples, columns)
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (schema, mut tuples) = self.exec(input, clock, buf, scanned)?;
-                let n = tuples.len() as f64;
-                clock.charge(p.sort_factor_ms * n * n.max(2.0).log2());
-                exec::sort(&schema, &mut tuples, keys)?;
-                Ok((schema, tuples))
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                // Index join: the inner side is a stored collection with
-                // an index on the join attribute.
-                if predicate.op == CompareOp::Eq {
-                    if let LogicalPlan::Scan { collection, .. } = right.as_ref() {
-                        let c = self.collection(&collection.collection)?;
-                        if let Some(tree) = c.indexes.get(&predicate.right_attr) {
-                            let (ls, lt) = self.exec(left, clock, buf, scanned)?;
-                            let li = ls.index_of(&predicate.left_attr).ok_or_else(|| {
-                                DiscoError::Exec(format!(
-                                    "unknown join attribute `{}`",
-                                    predicate.left_attr
-                                ))
-                            })?;
-                            let mut out = Vec::new();
-                            for l in &lt {
-                                clock.charge(p.probe_ms);
-                                let Some(v) = l.get(li) else { continue };
-                                for &rid in tree.lookup(v) {
-                                    let page = c.heap.page_of(rid as usize);
-                                    buf.access(c.page_base + page, p, clock);
-                                    clock.charge(p.cpu_scan_ms);
-                                    *scanned += 1;
-                                    out.push(l.join(&c.tuples[rid as usize]));
-                                }
-                            }
-                            return Ok((ls.join(&c.schema), out));
-                        }
-                    }
-                }
-                let (ls, lt) = self.exec(left, clock, buf, scanned)?;
-                let (rs, rt) = self.exec(right, clock, buf, scanned)?;
-                let out_schema = ls.join(&rs);
-                let out = if predicate.op == CompareOp::Eq {
-                    clock.charge((lt.len() + rt.len()) as f64 * p.cpu_hash_ms);
-                    let out = exec::hash_join(&ls, &lt, &rs, &rt, predicate)?;
-                    clock.charge(out.len() as f64 * p.cpu_hash_ms);
-                    out
-                } else {
-                    clock.charge((lt.len() * rt.len()) as f64 * p.cpu_pred_ms);
-                    exec::nested_loop_join(&ls, &lt, &rs, &rt, predicate)?
-                };
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Union { left, right } => {
-                let (ls, mut lt) = self.exec(left, clock, buf, scanned)?;
-                let (rs, rt) = self.exec(right, clock, buf, scanned)?;
-                if ls.arity() != rs.arity() {
-                    return Err(DiscoError::Exec("union arity mismatch".into()));
-                }
-                clock.charge(rt.len() as f64 * p.cpu_scan_ms);
-                lt.extend(rt);
-                Ok((ls, lt))
-            }
-            LogicalPlan::Dedup { input } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::dedup(&tuples);
-                Ok((schema, out))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (schema, tuples) = self.exec(input, clock, buf, scanned)?;
-                clock.charge(tuples.len() as f64 * p.cpu_hash_ms);
-                let out = exec::aggregate(&schema, &tuples, group_by, aggs)?;
-                let out_schema = plan.output_schema()?;
-                Ok((out_schema, out))
-            }
-            LogicalPlan::Submit { .. } => Err(DiscoError::Source(
-                "data sources do not execute `submit` operators".into(),
-            )),
-        }
+impl PagedStore {
+    /// Read one row by rid: touch its page, examine the object.
+    fn fetch<'c>(&self, r: &mut Run<BufferPool>, c: &'c StoredCollection, rid: u32) -> &'c Tuple {
+        let page = c.page_base + c.heap.page_of(rid as usize);
+        r.session.access(page, &self.profile, &mut r.clock);
+        r.charge(self.profile.cpu_scan_ms);
+        r.scanned += 1;
+        &c.tuples[rid as usize]
     }
 }
 
-/// Is the root operator blocking (first tuple only after all input
-/// consumed)?
-pub(crate) fn blocking_root(plan: &LogicalPlan) -> bool {
-    matches!(
-        plan,
-        LogicalPlan::Sort { .. } | LogicalPlan::Aggregate { .. } | LogicalPlan::Dedup { .. }
-    )
+impl AccessPaths for PagedStore {
+    type Session<'a> = BufferPool;
+    type Inner<'a> = (&'a StoredCollection, &'a BPlusTree);
+
+    fn charges(&self) -> Charges {
+        Charges::from_profile(&self.profile)
+    }
+
+    /// Every query starts from a cold pool.
+    fn open(&self) -> BufferPool {
+        BufferPool::new(self.buffer_capacity)
+    }
+
+    fn scan(&self, r: &mut Run<BufferPool>, coll: &str) -> Result<Rows> {
+        let c = self.collection(coll)?;
+        // Full sequential read: every page once, in storage order.
+        for page in 0..c.heap.pages() {
+            r.session
+                .access(c.page_base + page, &self.profile, &mut r.clock);
+        }
+        r.charge(c.tuples.len() as f64 * self.profile.cpu_scan_ms);
+        r.scanned += c.tuples.len() as u64;
+        Ok((c.schema.clone(), c.tuples.clone()))
+    }
+
+    fn index_select(
+        &self,
+        r: &mut Run<BufferPool>,
+        coll: &str,
+        cond: &SelectPredicate,
+    ) -> Result<Option<Rows>> {
+        let c = self.collection(coll)?;
+        let Some(rids) = c
+            .indexes
+            .get(&cond.attribute)
+            .and_then(|t| t.scan(cond.op, &cond.value))
+        else {
+            return Ok(None);
+        };
+        r.charge(self.profile.probe_ms);
+        let rows = rids
+            .into_iter()
+            .map(|rid| self.fetch(r, c, rid).clone())
+            .collect();
+        Ok(Some((c.schema.clone(), rows)))
+    }
+
+    fn index_join<'a>(
+        &'a self,
+        coll: &'a str,
+        attr: &'a str,
+    ) -> Result<Option<(Schema, Self::Inner<'a>)>> {
+        let c = self.collection(coll)?;
+        Ok(c.indexes
+            .get(attr)
+            .map(|tree| (c.schema.clone(), (c, tree))))
+    }
+
+    fn lookup(
+        &self,
+        r: &mut Run<BufferPool>,
+        &(c, tree): &Self::Inner<'_>,
+        key: &Value,
+        mut emit: impl FnMut(&Tuple),
+    ) -> Result<()> {
+        for &rid in tree.lookup(key) {
+            emit(self.fetch(r, c, rid));
+        }
+        Ok(())
+    }
+
+    fn finish(&self, r: &mut Run<BufferPool>) -> SessionEnd {
+        let buf = &r.session;
+        SessionEnd {
+            pages_read: buf.faults(),
+            buffer_hits: buf.hits(),
+            // Pipelined: overhead plus one page fault if any I/O happened.
+            first_floor_ms: self.profile.overhead_ms
+                + (buf.faults() > 0) as u64 as f64 * self.profile.io_ms,
+            pool: Some(("simulated", [buf.faults(), buf.hits(), buf.evictions()])),
+        }
+    }
 }
 
 impl DataSource for PagedStore {
@@ -424,106 +368,30 @@ impl DataSource for PagedStore {
     fn statistics(&self, collection: &str) -> Option<CollectionStats> {
         let c = self.collections.get(collection)?;
         let n = c.tuples.len() as u64;
-        let mut stats = CollectionStats::new(ExtentStats {
+        let extent = ExtentStats {
             count_object: n,
             total_size: n * c.object_size,
             object_size: c.object_size,
             count_page: None,
-        });
-        for (i, attr) in c.schema.attributes().iter().enumerate() {
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            let mut distinct: std::collections::HashSet<String> = std::collections::HashSet::new();
-            for t in &c.tuples {
-                let Some(v) = t.get(i) else { continue };
-                if v.is_null() {
-                    continue;
-                }
-                distinct.insert(format!("{v}"));
-                if min
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_lt())
-                    .unwrap_or(true)
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .map(|m| v.total_cmp_value(m).is_gt())
-                    .unwrap_or(true)
-                {
-                    max = Some(v.clone());
-                }
-            }
-            let mut a = AttributeStats::new(
-                distinct.len().max(1) as u64,
-                min.unwrap_or(Value::Null),
-                max.unwrap_or(Value::Null),
-            );
-            a.indexed = c.indexes.contains_key(&attr.name);
-            if let Some(buckets) = self.histogram_buckets {
-                let values: Vec<f64> = c
-                    .tuples
-                    .iter()
-                    .filter_map(|t| t.get(i).and_then(Value::as_f64))
-                    .collect();
-                if !values.is_empty() {
-                    if let Some(h) = disco_catalog::Histogram::equi_depth(&values, buckets) {
-                        a = a.with_histogram(h);
-                    }
-                }
-            }
-            stats = stats.with_attribute(attr.name.clone(), a);
-        }
-        let _ = &c.clustered_on; // clustering is deliberately NOT exported:
-                                 // the generic model cannot see it (§5/§7).
-        Some(stats)
+        };
+        Some(interp::statistics(
+            &c.schema,
+            &c.tuples,
+            extent,
+            |attr| c.indexes.contains_key(attr),
+            self.histogram_buckets,
+        ))
     }
 
     fn execute(&self, plan: &LogicalPlan) -> Result<SubAnswer> {
-        let mut clock = VirtualClock::new();
-        clock.charge(self.profile.overhead_ms);
-        let mut buf = BufferPool::new(self.buffer_capacity);
-        let mut scanned = 0u64;
-        let (schema, tuples) = self.exec(plan, &mut clock, &mut buf, &mut scanned)?;
-        let produced = clock.now();
-        // Deliver results.
-        clock.charge(tuples.len() as f64 * self.profile.output_ms);
-        let elapsed = clock.now();
-        let one = (!tuples.is_empty()) as u64 as f64;
-        let time_first = if blocking_root(plan) {
-            produced + one * self.profile.output_ms
-        } else {
-            // Pipelined approximation: overhead, one page fault if any I/O
-            // happened, one delivery.
-            self.profile.overhead_ms
-                + (buf.faults() > 0) as u64 as f64 * self.profile.io_ms
-                + one * self.profile.output_ms
-        };
-        if disco_obs::metrics::enabled() {
-            let labels = &[("engine", "simulated"), ("source", self.name.as_str())][..];
-            disco_obs::counter(disco_obs::names::STORE_PAGE_FAULTS, labels).add(buf.faults());
-            disco_obs::counter(disco_obs::names::STORE_BUFFER_HITS, labels).add(buf.hits());
-            disco_obs::counter(disco_obs::names::STORE_EVICTIONS, labels).add(buf.evictions());
-        }
-        Ok(SubAnswer {
-            schema,
-            tuples,
-            stats: ExecStats {
-                elapsed_ms: elapsed,
-                time_first_ms: time_first.min(elapsed),
-                pages_read: buf.faults(),
-                buffer_hits: buf.hits(),
-                objects_scanned: scanned,
-            },
-        })
+        interp::execute(self, plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disco_algebra::PlanBuilder;
+    use disco_algebra::{CompareOp, PlanBuilder};
     use disco_common::{AttributeDef, DataType, QualifiedName};
 
     fn small_store(cluster: bool) -> PagedStore {
