@@ -229,6 +229,10 @@ impl BPlusTree {
     /// (an index gives no benefit) and returns `None`, as does any
     /// comparison a B+-tree cannot serve.
     pub fn scan(&self, op: CompareOp, value: &Value) -> Option<Vec<u32>> {
+        // A NULL bound compares false with every key.
+        if value.is_null() && op != CompareOp::Ne {
+            return Some(Vec::new());
+        }
         let key = Key(value.clone());
         let mut out = Vec::new();
         match op {

@@ -362,6 +362,10 @@ impl DiskBTree {
     /// in-memory tree: `Ne` returns `None` (an index gives no benefit).
     pub fn scan(&self, op: CompareOp, value: &Value) -> Result<Option<Vec<Rid>>> {
         let mut out = Vec::new();
+        // A NULL bound compares false with every key.
+        if value.is_null() && op != CompareOp::Ne {
+            return Ok(Some(out));
+        }
         match op {
             CompareOp::Eq => out.extend(self.lookup(value)?),
             CompareOp::Ne => return Ok(None),

@@ -211,12 +211,14 @@ impl DiskCollectionBuilder {
             let idx = self.schema.index_of(attr).ok_or_else(|| {
                 DiscoError::Source(format!("cannot index unknown attribute `{attr}`"))
             })?;
+            // NULL matches no comparison, so it is never indexed.
             let tree = DiskBTree::build(
                 pool.clone(),
-                self.tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(row, t)| (t.get(idx).cloned().unwrap_or(Value::Null), rids[row])),
+                self.tuples.iter().enumerate().filter_map(|(row, t)| {
+                    t.get(idx)
+                        .filter(|v| !v.is_null())
+                        .map(|v| (v.clone(), rids[row]))
+                }),
             )?;
             indexes.insert(attr.clone(), tree);
         }

@@ -10,11 +10,16 @@
 //! tuple-for-tuple byte equality, not just `PartialEq` — and, cold, the
 //! two pagers must report the *same fault count*: the disk engine
 //! replicates the simulated placement number for number.
+//!
+//! Both engines also index the nullable `score` column, and every
+//! index-served answer (selections, NULL bounds, an index join) is
+//! checked against the row reference operators in `disco_sources::exec`
+//! run over the full scan: NULL never matches through an index.
 
-use disco_algebra::{CompareOp, LogicalPlan, PlanBuilder};
+use disco_algebra::{CompareOp, JoinPredicate, LogicalPlan, PlanBuilder};
 use disco_common::rng::{seeded, StdRng};
 use disco_common::{AttributeDef, DataType, QualifiedName, Schema, Value};
-use disco_sources::{CollectionBuilder, CostProfile, DataSource, PagedStore, StoreSource};
+use disco_sources::{exec, CollectionBuilder, CostProfile, DataSource, PagedStore, StoreSource};
 use disco_store::codec::encode_tuple;
 use disco_store::{DiskCollectionBuilder, DiskStoreBuilder};
 
@@ -79,11 +84,13 @@ fn build_pair(seed: u64) -> Pair {
     let mut sim_builder = CollectionBuilder::new(schema())
         .rows(data.clone())
         .object_size(object_size)
-        .index("id");
+        .index("id")
+        .index("score");
     let mut disk_builder = DiskCollectionBuilder::new(schema())
         .rows(data)
         .object_size(object_size)
-        .index("id");
+        .index("id")
+        .index("score");
     if clustered {
         sim_builder = sim_builder.cluster_on("id");
         disk_builder = disk_builder.cluster_on("id");
@@ -144,6 +151,7 @@ fn queries(rng: &mut StdRng, n: usize) -> Vec<(String, LogicalPlan)> {
             .select("name", CompareOp::Ge, Value::Str("row-0100".into()))
             .build(),
     ));
+    qs.extend(score_selects(rng));
     let hi = rng.gen_range(1..n as i64);
     qs.push((
         format!("project(id<{hi})"),
@@ -155,8 +163,36 @@ fn queries(rng: &mut StdRng, n: usize) -> Vec<(String, LogicalPlan)> {
     qs
 }
 
+/// Every comparison on the indexed, nullable `score` column: a random
+/// in-range bound and a NULL bound for each operator.
+fn score_selects(rng: &mut StdRng) -> Vec<(String, LogicalPlan)> {
+    let mut qs = Vec::new();
+    for op in [
+        CompareOp::Eq,
+        CompareOp::Ne,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+    ] {
+        for v in [Value::Double(rng.gen_f64() * 200.0 - 100.0), Value::Null] {
+            qs.push((
+                format!("score {} {v}", op.symbol()),
+                scan().select("score", op, v).build(),
+            ));
+        }
+    }
+    qs
+}
+
 fn tuple_bytes(tuples: &[disco_common::Tuple]) -> Vec<Vec<u8>> {
     tuples.iter().map(encode_tuple).collect()
+}
+
+fn multiset(tuples: &[disco_common::Tuple]) -> Vec<Vec<u8>> {
+    let mut bytes = tuple_bytes(tuples);
+    bytes.sort();
+    bytes
 }
 
 #[test]
@@ -198,4 +234,52 @@ fn warm_disk_answers_match_cold_answers() {
     assert!(cold.stats.pages_read > 0);
     assert_eq!(warm.stats.pages_read, 0, "everything resident second time");
     assert!(warm.stats.buffer_hits > 0);
+}
+
+#[test]
+fn index_answers_match_the_row_reference_over_the_full_scan() {
+    for seed in 0..SEEDS {
+        let pair = build_pair(seed);
+        let full = pair.sim.execute(&scan().build()).unwrap().tuples;
+        let mut rng = seeded(seed, "store-equivalence-nulls");
+        let id = rng.gen_range(0..pair.n as i64);
+        let mut selects = score_selects(&mut rng);
+        for op in [CompareOp::Eq, CompareOp::Lt, CompareOp::Ge] {
+            selects.push((
+                format!("id {} {id}", op.symbol()),
+                scan().select("id", op, id).build(),
+            ));
+            selects.push((
+                format!("id {} NULL", op.symbol()),
+                scan().select("id", op, Value::Null).build(),
+            ));
+        }
+        for (label, plan) in &selects {
+            let LogicalPlan::Select { predicate, .. } = plan else {
+                unreachable!("selections only")
+            };
+            let expect = multiset(&exec::filter(&schema(), &full, predicate).unwrap());
+            let sim = pair.sim.execute(plan).unwrap();
+            assert_eq!(
+                multiset(&sim.tuples),
+                expect,
+                "seed {seed}, simulated `{label}`"
+            );
+            let disk = pair.disk.execute(plan).unwrap();
+            assert_eq!(
+                multiset(&disk.tuples),
+                expect,
+                "seed {seed}, disk `{label}`"
+            );
+        }
+        // Index join on the nullable column: the inner side is served by
+        // the `score` index, the outer side carries NULL keys.
+        let pred = JoinPredicate::equi("score", "score");
+        let join = scan().join(scan(), "score", "score").build();
+        let expect = multiset(&exec::hash_join(&schema(), &full, &schema(), &full, &pred).unwrap());
+        let sim = pair.sim.execute(&join).unwrap();
+        assert_eq!(multiset(&sim.tuples), expect, "seed {seed}, simulated join");
+        let disk = pair.disk.execute(&join).unwrap();
+        assert_eq!(multiset(&disk.tuples), expect, "seed {seed}, disk join");
+    }
 }
