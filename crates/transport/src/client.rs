@@ -21,7 +21,7 @@ use disco_algebra::LogicalPlan;
 use disco_common::rng::{seeded, StdRng, DEFAULT_SEED};
 use disco_common::wire::{WireDecode, WireEncode, WireWriter};
 use disco_common::{Batch, DiscoError, HealthTracker, Result, Schema};
-use disco_sources::{BatchAnswer, ExecStats, SubAnswer};
+use disco_sources::{BatchAnswer, ExecStats};
 use disco_wrapper::Registration;
 
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
@@ -95,25 +95,8 @@ pub struct HedgedOutcome {
     pub hedges: u32,
 }
 
-/// Everything a successful submit reports back to the executor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitOutcome {
-    /// The decoded subanswer.
-    pub answer: SubAnswer,
-    /// Simulated communication time of the *successful* attempt.
-    pub comm_ms: f64,
-    /// Measured wall-clock time of the whole submit, retries included.
-    pub wall_ms: f64,
-    /// Attempts spent (1 = first try succeeded).
-    pub attempts: u32,
-    /// Request size on the wire.
-    pub request_bytes: usize,
-    /// Reply size on the wire.
-    pub response_bytes: usize,
-}
-
-/// [`SubmitOutcome`] with the answer decoded straight into columns —
-/// what the mediator's vectorized combine phase fetches.
+/// Everything a successful submit reports back to the executor, the
+/// answer decoded straight into columns for the vectorized combine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSubmitOutcome {
     /// The decoded columnar subanswer.
@@ -286,16 +269,6 @@ impl SubmitStream {
     }
 }
 
-/// A successful delivery, generic over the decoded answer shape.
-struct Delivered<A> {
-    answer: A,
-    comm_ms: f64,
-    wall_ms: f64,
-    attempts: u32,
-    request_bytes: usize,
-    response_bytes: usize,
-}
-
 /// Reliability-aware client over any [`Transport`].
 ///
 /// All state lives behind an `Arc`: hedged-submit races detach the
@@ -401,24 +374,8 @@ impl TransportClient {
         }
     }
 
-    /// Submit a subplan with deadlines, retries and circuit breaking.
-    pub fn submit(&self, endpoint: &str, plan: &LogicalPlan) -> Result<SubmitOutcome> {
-        self.submit_opts(endpoint, plan, &SubmitOptions::default())
-    }
-
-    /// [`submit`](Self::submit) with per-call deadline/prediction
-    /// overrides.
-    pub fn submit_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<SubmitOutcome> {
-        self.core.submit_opts(endpoint, plan, opts)
-    }
-
-    /// Like [`submit`](Self::submit), but the reply payload is decoded
-    /// straight into columns — same deadlines, retries and breaker.
+    /// Submit a subplan with deadlines, retries and circuit breaking;
+    /// the reply payload is decoded straight into columns.
     pub fn submit_batch(&self, endpoint: &str, plan: &LogicalPlan) -> Result<BatchSubmitOutcome> {
         self.submit_batch_opts(endpoint, plan, &SubmitOptions::default())
     }
@@ -453,90 +410,15 @@ impl TransportClient {
         straggler_wait: Option<Duration>,
         hedge_allowance: u32,
     ) -> Result<HedgedOutcome> {
-        let first = targets
-            .first()
-            .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
-        if targets.len() == 1 {
-            return self
-                .submit_batch_opts(&first.endpoint, &first.plan, &first.opts)
-                .map(|outcome| HedgedOutcome {
-                    outcome,
-                    winner: 0,
-                    hedges: 0,
-                });
-        }
-        {
-            let (tx, rx) = mpsc::channel::<(usize, Result<BatchSubmitOutcome>)>();
-            let mut launched = 0usize;
-            let mut pending = 0usize;
-            let mut hedges = 0u32;
-            let launch = |idx: usize, pending: &mut usize| {
-                let t = targets[idx].clone();
-                let tx = tx.clone();
-                let core = Arc::clone(&self.core);
-                std::thread::spawn(move || {
-                    let result = core.submit_batch_opts(&t.endpoint, &t.plan, &t.opts);
-                    // The race may be over; a closed channel is fine.
-                    let _ = tx.send((idx, result));
-                });
-                *pending += 1;
-            };
-            launch(launched, &mut pending);
-            launched += 1;
-            // Loudest error wins the report: a non-transient failure
-            // (e.g. a wrapper rejecting the plan) beats timeouts.
-            let mut last_err: Option<DiscoError> = None;
-            loop {
-                if pending == 0 {
-                    if launched < targets.len() {
-                        // Every launched replica failed: fail over.
-                        launch(launched, &mut pending);
-                        launched += 1;
-                        continue;
-                    }
-                    return Err(last_err.unwrap_or_else(|| {
-                        DiscoError::Exec("hedged submit made no attempts".into())
-                    }));
-                }
-                let can_hedge = hedges < hedge_allowance && launched < targets.len();
-                let message = match (can_hedge, straggler_wait) {
-                    (true, Some(wait)) => match rx.recv_timeout(wait) {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Straggler: open a second front at the
-                            // next replica.
-                            note_hedge(&targets[launched].endpoint);
-                            hedges += 1;
-                            launch(launched, &mut pending);
-                            launched += 1;
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
-                    },
-                    _ => rx.recv().expect("race holds a sender"),
-                };
-                match message {
-                    (winner, Ok(outcome)) => {
-                        if winner > 0 {
-                            note_hedge_win(&targets[winner].endpoint);
-                        }
-                        return Ok(HedgedOutcome {
-                            outcome,
-                            winner,
-                            hedges,
-                        });
-                    }
-                    (_, Err(e)) => {
-                        pending -= 1;
-                        let louder = !e.is_transient()
-                            || last_err.as_ref().is_none_or(|prev| prev.is_transient());
-                        if louder {
-                            last_err = Some(e);
-                        }
-                    }
-                }
-            }
-        }
+        self.core
+            .race(targets, straggler_wait, hedge_allowance, |core, t| {
+                core.submit_batch_opts(&t.endpoint, &t.plan, &t.opts)
+            })
+            .map(|(outcome, winner, hedges)| HedgedOutcome {
+                outcome,
+                winner,
+                hedges,
+            })
     }
 
     /// Open a streaming submit: deadlines, retries and circuit breaking
@@ -569,129 +451,43 @@ impl TransportClient {
         hedge_allowance: u32,
         chunk_rows: u32,
     ) -> Result<HedgedStreamOutcome> {
-        let first = targets
-            .first()
-            .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
-        if targets.len() == 1 {
-            return self
-                .submit_stream_opts(&first.endpoint, &first.plan, &first.opts, chunk_rows)
-                .map(|stream| HedgedStreamOutcome {
-                    stream,
-                    winner: 0,
-                    hedges: 0,
-                });
-        }
-        let (tx, rx) = mpsc::channel::<(usize, Result<SubmitStream>)>();
-        let mut launched = 0usize;
-        let mut pending = 0usize;
-        let mut hedges = 0u32;
-        let launch = |idx: usize, pending: &mut usize| {
-            let t = targets[idx].clone();
-            let tx = tx.clone();
-            let core = Arc::clone(&self.core);
-            std::thread::spawn(move || {
-                let result = core.open_stream(&t.endpoint, &t.plan, &t.opts, chunk_rows);
-                // The race may be over; a closed channel is fine.
-                let _ = tx.send((idx, result));
-            });
-            *pending += 1;
-        };
-        launch(launched, &mut pending);
-        launched += 1;
-        let mut last_err: Option<DiscoError> = None;
-        loop {
-            if pending == 0 {
-                if launched < targets.len() {
-                    // Every launched replica failed: fail over.
-                    launch(launched, &mut pending);
-                    launched += 1;
-                    continue;
-                }
-                return Err(last_err
-                    .unwrap_or_else(|| DiscoError::Exec("hedged submit made no attempts".into())));
-            }
-            let can_hedge = hedges < hedge_allowance && launched < targets.len();
-            let message = match (can_hedge, straggler_wait) {
-                (true, Some(wait)) => match rx.recv_timeout(wait) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        note_hedge(&targets[launched].endpoint);
-                        hedges += 1;
-                        launch(launched, &mut pending);
-                        launched += 1;
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
-                },
-                _ => rx.recv().expect("race holds a sender"),
-            };
-            match message {
-                (winner, Ok(stream)) => {
-                    if winner > 0 {
-                        note_hedge_win(&targets[winner].endpoint);
-                    }
-                    return Ok(HedgedStreamOutcome {
-                        stream,
-                        winner,
-                        hedges,
-                    });
-                }
-                (_, Err(e)) => {
-                    pending -= 1;
-                    let louder = !e.is_transient()
-                        || last_err.as_ref().is_none_or(|prev| prev.is_transient());
-                    if louder {
-                        last_err = Some(e);
-                    }
-                }
-            }
-        }
+        self.core
+            .race(targets, straggler_wait, hedge_allowance, move |core, t| {
+                core.open_stream(&t.endpoint, &t.plan, &t.opts, chunk_rows)
+            })
+            .map(|(stream, winner, hedges)| HedgedStreamOutcome {
+                stream,
+                winner,
+                hedges,
+            })
     }
 }
 
 impl ClientCore {
-    fn submit_opts(
-        &self,
-        endpoint: &str,
-        plan: &LogicalPlan,
-        opts: &SubmitOptions,
-    ) -> Result<SubmitOutcome> {
-        self.submit_with(
-            endpoint,
-            plan,
-            opts,
-            |payload| match Response::from_wire_bytes(payload)?.into_result()? {
-                Response::Answer(answer) => Ok(answer),
-                other => Err(DiscoError::Exec(format!(
-                    "endpoint `{endpoint}` answered submit with {other:?}"
-                ))),
-            },
-        )
-        .map(|d| SubmitOutcome {
-            answer: d.answer,
-            comm_ms: d.comm_ms,
-            wall_ms: d.wall_ms,
-            attempts: d.attempts,
-            request_bytes: d.request_bytes,
-            response_bytes: d.response_bytes,
-        })
-    }
-
     fn submit_batch_opts(
         &self,
         endpoint: &str,
         plan: &LogicalPlan,
         opts: &SubmitOptions,
     ) -> Result<BatchSubmitOutcome> {
-        self.submit_with(endpoint, plan, opts, decode_answer_batch)
-            .map(|d| BatchSubmitOutcome {
-                answer: d.answer,
-                comm_ms: d.comm_ms,
-                wall_ms: d.wall_ms,
-                attempts: d.attempts,
-                request_bytes: d.request_bytes,
-                response_bytes: d.response_bytes,
-            })
+        let started = Instant::now();
+        // Encode once; every retry ships the same bytes.
+        let request = Request::Submit(plan.clone()).to_wire_bytes();
+        let deadline = self.attempt_deadline(endpoint, opts);
+        let sim_deadline = self.sim_deadline(endpoint, opts);
+        self.with_retries(endpoint, opts, |attempt| {
+            let env = self.transport.call(endpoint, &request, deadline)?;
+            check_sim_deadline(endpoint, "reply", env.comm_ms, sim_deadline)?;
+            let outcome = BatchSubmitOutcome {
+                answer: decode_answer_batch(&env.payload)?,
+                comm_ms: env.comm_ms,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                attempts: attempt,
+                request_bytes: env.request_bytes,
+                response_bytes: env.response_bytes,
+            };
+            Ok((outcome, env.comm_ms))
+        })
     }
 
     /// Effective per-attempt wall deadline: the per-call override (or
@@ -722,23 +518,17 @@ impl ClientCore {
         Some(sim.max(floor))
     }
 
-    /// The shared submit loop, generic over how the successful reply
-    /// payload is decoded.
-    fn submit_with<A>(
+    /// The retry loop shared by one-shot and streamed submits: breaker
+    /// admission, full-jitter exponential backoff between attempts, and
+    /// breaker, health and deadline accounting for each attempt.
+    /// `attempt(n)` makes attempt `n` and returns its outcome with the
+    /// reply's simulated communication time.
+    fn with_retries<T>(
         &self,
         endpoint: &str,
-        plan: &LogicalPlan,
         opts: &SubmitOptions,
-        decode: impl Fn(&[u8]) -> Result<A>,
-    ) -> Result<Delivered<A>> {
-        let started = Instant::now();
-        let mut w = WireWriter::new();
-        Request::Submit(plan.clone()).encode(&mut w);
-        // Encode once; every retry ships the same bytes.
-        let request = w.into_bytes();
-        let deadline = self.attempt_deadline(endpoint, opts);
-        let sim_deadline = self.sim_deadline(endpoint, opts);
-
+        mut attempt: impl FnMut(u32) -> Result<(T, f64)>,
+    ) -> Result<T> {
         if !self.acquire(endpoint) {
             note_unavailable(endpoint);
             return Err(DiscoError::Unavailable(format!(
@@ -748,8 +538,8 @@ impl ClientCore {
 
         let mut backoff_ms = self.retry.backoff_base_ms as f64;
         let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
-        for attempt in 1..=self.retry.max_attempts.max(1) {
-            if attempt > 1 {
+        for n in 1..=self.retry.max_attempts.max(1) {
+            if n > 1 {
                 if disco_obs::enabled() {
                     disco_obs::counter(
                         disco_obs::names::TRANSPORT_RETRIES,
@@ -765,31 +555,10 @@ impl ClientCore {
                 }
                 backoff_ms *= self.retry.backoff_factor;
             }
-            let result = self
-                .transport
-                .call(endpoint, &request, deadline)
-                .and_then(|env| {
-                    if let Some(sim) = sim_deadline {
-                        if env.comm_ms > sim {
-                            return Err(DiscoError::Timeout(format!(
-                                "reply from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
-                                env.comm_ms
-                            )));
-                        }
-                    }
-                    decode(&env.payload).map(|answer| Delivered {
-                        answer,
-                        comm_ms: env.comm_ms,
-                        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                        attempts: attempt,
-                        request_bytes: env.request_bytes,
-                        response_bytes: env.response_bytes,
-                    })
-                });
-            match result {
-                Ok(outcome) => {
+            match attempt(n) {
+                Ok((outcome, comm_ms)) => {
                     self.record(endpoint, true);
-                    self.note_health(endpoint, true, outcome.comm_ms, opts);
+                    self.note_health(endpoint, true, comm_ms, opts);
                     note_deadline(endpoint, "met");
                     return Ok(outcome);
                 }
@@ -802,7 +571,7 @@ impl ClientCore {
                     last_err = e;
                     // The breaker may have opened mid-budget; stop early
                     // rather than hammering a tripped endpoint.
-                    if attempt < self.retry.max_attempts && !self.acquire(endpoint) {
+                    if n < self.retry.max_attempts && !self.acquire(endpoint) {
                         note_unavailable(endpoint);
                         return Err(DiscoError::Unavailable(format!(
                             "circuit breaker open for `{endpoint}`"
@@ -818,8 +587,87 @@ impl ClientCore {
         Err(last_err)
     }
 
+    /// Race `attempt` across replica endpoints, as documented on
+    /// [`TransportClient::submit_batch_hedged`]. Returns the winning
+    /// outcome, the winner's index into `targets` and the straggler
+    /// hedges launched.
+    fn race<T: Send + 'static>(
+        self: &Arc<Self>,
+        targets: &[HedgeTarget],
+        straggler_wait: Option<Duration>,
+        hedge_allowance: u32,
+        attempt: impl Fn(&Arc<Self>, &HedgeTarget) -> Result<T> + Clone + Send + 'static,
+    ) -> Result<(T, usize, u32)> {
+        let first = targets
+            .first()
+            .ok_or_else(|| DiscoError::Exec("hedged submit needs at least one target".into()))?;
+        if targets.len() == 1 {
+            return attempt(self, first).map(|outcome| (outcome, 0, 0));
+        }
+        let (tx, rx) = mpsc::channel::<(usize, Result<T>)>();
+        let (mut launched, mut pending, mut hedges) = (0usize, 0usize, 0u32);
+        let launch = |launched: &mut usize, pending: &mut usize| {
+            let idx = *launched;
+            let (t, tx) = (targets[idx].clone(), tx.clone());
+            let (core, attempt) = (Arc::clone(self), attempt.clone());
+            std::thread::spawn(move || {
+                // The race may be over; a closed channel is fine.
+                let _ = tx.send((idx, attempt(&core, &t)));
+            });
+            *launched += 1;
+            *pending += 1;
+        };
+        launch(&mut launched, &mut pending);
+        // Loudest error wins the report: a non-transient failure (e.g. a
+        // wrapper rejecting the plan) beats timeouts.
+        let mut last_err: Option<DiscoError> = None;
+        loop {
+            if pending == 0 {
+                if launched < targets.len() {
+                    // Every launched replica failed: fail over.
+                    launch(&mut launched, &mut pending);
+                    continue;
+                }
+                return Err(last_err
+                    .unwrap_or_else(|| DiscoError::Exec("hedged submit made no attempts".into())));
+            }
+            let can_hedge = hedges < hedge_allowance && launched < targets.len();
+            let message = match (can_hedge, straggler_wait) {
+                (true, Some(wait)) => match rx.recv_timeout(wait) {
+                    Ok(m) => m,
+                    Err(RecvTimeoutError::Timeout) => {
+                        // Straggler: open a second front at the next
+                        // replica.
+                        note_hedge(&targets[launched].endpoint);
+                        hedges += 1;
+                        launch(&mut launched, &mut pending);
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
+                },
+                _ => rx.recv().expect("race holds a sender"),
+            };
+            match message {
+                (winner, Ok(outcome)) => {
+                    if winner > 0 {
+                        note_hedge_win(&targets[winner].endpoint);
+                    }
+                    return Ok((outcome, winner, hedges));
+                }
+                (_, Err(e)) => {
+                    pending -= 1;
+                    let louder = !e.is_transient()
+                        || last_err.as_ref().is_none_or(|prev| prev.is_transient());
+                    if louder {
+                        last_err = Some(e);
+                    }
+                }
+            }
+        }
+    }
+
     /// Open a streaming submit with the same retry/breaker/deadline
-    /// machinery as [`submit_with`](Self::submit_with). The loop runs
+    /// machinery as a one-shot submit. The loop runs
     /// only until the first frame is delivered: every retry re-issues
     /// the whole stream, which is safe exactly because no chunk has been
     /// surfaced yet. The simulated-time deadline is enforced on the
@@ -866,98 +714,42 @@ impl ClientCore {
         .to_wire_bytes();
         let deadline = self.attempt_deadline(endpoint, opts);
         let sim_deadline = self.sim_deadline(endpoint, opts);
-
-        if !self.acquire(endpoint) {
-            note_unavailable(endpoint);
-            return Err(DiscoError::Unavailable(format!(
-                "circuit breaker open for `{endpoint}`"
-            )));
-        }
-
-        let mut backoff_ms = self.retry.backoff_base_ms as f64;
-        let mut last_err = DiscoError::Exec(format!("no attempts made against `{endpoint}`"));
-        for attempt in 1..=self.retry.max_attempts.max(1) {
-            if attempt > 1 {
-                if disco_obs::enabled() {
-                    disco_obs::counter(
-                        disco_obs::names::TRANSPORT_RETRIES,
-                        &[("wrapper", endpoint)],
-                    )
-                    .inc();
+        self.with_retries(endpoint, opts, |attempt| {
+            let mut stream = self.transport.call_stream(endpoint, &request)?;
+            let env = stream.next_frame(deadline)?;
+            check_sim_deadline(endpoint, "first frame", env.comm_ms, sim_deadline)?;
+            let first = match decode_frame(&env.payload)? {
+                Frame::Chunk(a) => a,
+                Frame::End(_) => {
+                    return Err(DiscoError::Exec(format!(
+                        "stream from `{endpoint}` ended before delivering a schema chunk"
+                    )))
                 }
-                let sleep_ms = backoff_ms * self.jitter.lock().expect("jitter lock").gen_f64();
-                if sleep_ms >= 0.5 {
-                    std::thread::sleep(Duration::from_micros((sleep_ms * 1000.0) as u64));
+                Frame::Error { kind, message } => {
+                    return Err(DiscoError::from_kind(&kind, message))
                 }
-                backoff_ms *= self.retry.backoff_factor;
-            }
-            let result = self
-                .transport
-                .call_stream(endpoint, &request)
-                .and_then(|mut stream| {
-                    let env = stream.next_frame(deadline)?;
-                    if let Some(sim) = sim_deadline {
-                        if env.comm_ms > sim {
-                            return Err(DiscoError::Timeout(format!(
-                                "first frame from `{endpoint}` took {:.0} simulated ms, deadline {sim:.0}",
-                                env.comm_ms
-                            )));
-                        }
-                    }
-                    match decode_frame(&env.payload)? {
-                        Frame::Chunk(a) => Ok((stream, env.payload.len(), env.comm_ms, a)),
-                        Frame::End(_) => Err(DiscoError::Exec(format!(
-                            "stream from `{endpoint}` ended before delivering a schema chunk"
-                        ))),
-                        Frame::Error { kind, message } => {
-                            Err(DiscoError::from_kind(&kind, message))
-                        }
-                    }
-                });
-            match result {
-                Ok((stream, first_bytes, first_comm, first_chunk)) => {
-                    self.record(endpoint, true);
-                    self.note_health(endpoint, true, first_comm, opts);
-                    note_deadline(endpoint, "met");
-                    return Ok(SubmitStream {
-                        core: Arc::clone(self),
-                        endpoint: endpoint.to_string(),
-                        source: StreamSource::Live(stream),
-                        deadline,
-                        buffered: VecDeque::from([StreamChunk {
-                            schema: first_chunk.schema,
-                            batch: first_chunk.batch,
-                            comm_ms: first_comm,
-                        }]),
-                        stats: None,
-                        comm_ms: first_comm,
-                        first_frame_comm_ms: first_comm,
-                        wall_first_ms: started.elapsed().as_secs_f64() * 1e3,
-                        attempts: attempt,
-                        request_bytes: request.len(),
-                        response_bytes: first_bytes,
-                        finished: false,
-                    });
-                }
-                Err(e) if e.is_transient() => {
-                    self.record(endpoint, false);
-                    self.note_health(endpoint, false, 0.0, opts);
-                    if e.kind() == "timeout" {
-                        note_deadline(endpoint, "missed");
-                    }
-                    last_err = e;
-                    if attempt < self.retry.max_attempts && !self.acquire(endpoint) {
-                        note_unavailable(endpoint);
-                        return Err(DiscoError::Unavailable(format!(
-                            "circuit breaker open for `{endpoint}`"
-                        )));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        note_unavailable(endpoint);
-        Err(last_err)
+            };
+            let opened = SubmitStream {
+                core: Arc::clone(self),
+                endpoint: endpoint.to_string(),
+                source: StreamSource::Live(stream),
+                deadline,
+                buffered: VecDeque::from([StreamChunk {
+                    schema: first.schema,
+                    batch: first.batch,
+                    comm_ms: env.comm_ms,
+                }]),
+                stats: None,
+                comm_ms: env.comm_ms,
+                first_frame_comm_ms: env.comm_ms,
+                wall_first_ms: started.elapsed().as_secs_f64() * 1e3,
+                attempts: attempt,
+                request_bytes: request.len(),
+                response_bytes: env.payload.len(),
+                finished: false,
+            };
+            Ok((opened, env.comm_ms))
+        })
     }
 
     /// Record one attempt outcome into the shared health tracker and
@@ -1000,6 +792,17 @@ impl ClientCore {
             b.on_failure();
         }
         note_transition(endpoint, before, b.state());
+    }
+}
+
+/// A delivered reply whose simulated communication time overran the
+/// simulated-time deadline counts as a timeout.
+fn check_sim_deadline(endpoint: &str, what: &str, comm_ms: f64, sim: Option<f64>) -> Result<()> {
+    match sim {
+        Some(sim) if comm_ms > sim => Err(DiscoError::Timeout(format!(
+            "{what} from `{endpoint}` took {comm_ms:.0} simulated ms, deadline {sim:.0}"
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -1120,8 +923,8 @@ mod tests {
     #[test]
     fn healthy_submit_reports_accounting() {
         let c = client(FaultPlan::none());
-        let out = c.submit("s", &plan("s")).unwrap();
-        assert_eq!(out.answer.tuples.len(), 9);
+        let out = c.submit_batch("s", &plan("s")).unwrap();
+        assert_eq!(out.answer.batch.len(), 9);
         assert_eq!(out.attempts, 1);
         assert!(out.comm_ms >= 100.0);
         assert!(out.request_bytes > 0 && out.response_bytes > 0);
@@ -1131,15 +934,15 @@ mod tests {
     #[test]
     fn transient_drops_are_retried_to_success() {
         let c = client(FaultPlan::first_n(FaultKind::Drop, 2));
-        let out = c.submit("s", &plan("s")).unwrap();
+        let out = c.submit_batch("s", &plan("s")).unwrap();
         assert_eq!(out.attempts, 3);
-        assert_eq!(out.answer.tuples.len(), 9);
+        assert_eq!(out.answer.batch.len(), 9);
     }
 
     #[test]
     fn exhausted_retry_budget_surfaces_the_transient_error() {
         let c = client(FaultPlan::always(FaultKind::Drop));
-        let err = c.submit("s", &plan("s")).unwrap_err();
+        let err = c.submit_batch("s", &plan("s")).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(err.kind(), "timeout");
     }
@@ -1151,10 +954,10 @@ mod tests {
             cooldown_calls: 2,
         });
         // One full submit burns exactly the threshold.
-        assert!(c.submit("s", &plan("s")).is_err());
+        assert!(c.submit_batch("s", &plan("s")).is_err());
         assert_eq!(c.breaker_state("s"), Some(BreakerState::Open));
         // Subsequent submits are rejected without touching the endpoint.
-        let err = c.submit("s", &plan("s")).unwrap_err();
+        let err = c.submit_batch("s", &plan("s")).unwrap_err();
         assert_eq!(err.kind(), "unavailable");
         assert!(err.message().contains("circuit breaker"));
     }
@@ -1165,7 +968,7 @@ mod tests {
         t.add_wrapper(wrapper("s"));
         let c = TransportClient::new(Box::new(t));
         // Plan addressed to a different wrapper: the wrapper rejects it.
-        let err = c.submit("s", &plan("ghost")).unwrap_err();
+        let err = c.submit_batch("s", &plan("ghost")).unwrap_err();
         assert_eq!(err.kind(), "exec");
         assert_eq!(c.breaker_state("s"), Some(BreakerState::Closed));
     }

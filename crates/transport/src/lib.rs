@@ -40,7 +40,7 @@ pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use channel::ChannelTransport;
 pub use client::{
     BatchSubmitOutcome, HedgeTarget, HedgedOutcome, HedgedStreamOutcome, RetryPolicy, StreamChunk,
-    SubmitOptions, SubmitOutcome, SubmitStream, TransportClient,
+    SubmitOptions, SubmitStream, TransportClient,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use netsim::NetProfile;
