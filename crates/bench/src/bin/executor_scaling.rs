@@ -14,12 +14,17 @@
 //!   projected, then concatenated;
 //! * **join3** — a three-way hash join `A(id,tag,v) ⋈ B(aid,bid) ⋈
 //!   C(cid,w)` with fan-out ≈ 1 (output cardinality equals the input).
+//!   It also runs streamed: the same decoded inputs served in 1,024-row
+//!   chunks through two `vstream::HashJoinStream`s, answer tuples
+//!   extended chunk by chunk as the streaming executor does.
 //!
-//! At sizes up to 10 k both paths' outputs are asserted exactly equal
+//! At sizes up to 10 k every path's output is asserted exactly equal
 //! (same tuples, same order); above that, lengths must match and an
 //! evenly-strided positional sample of ~1 k tuples (plus both ends) is
-//! compared. At 100 k the join speedup is asserted to meet the ≥ 3×
-//! target. Besides the table it writes
+//! compared. Gates: at 100 k the batch join is ≥ 3× faster than the row
+//! join and the streamed join takes ≤ 1.5× the batch join (a streamed
+//! join that re-hashed its build side per chunk would not); at 1 M the
+//! batch join takes ≤ 400 ms. Besides the table it writes
 //! `BENCH_executor.json` (machine-readable, consumed by CI as an
 //! artifact).
 //!
@@ -35,6 +40,7 @@ use disco_bench::Table;
 use disco_common::rng::seeded;
 use disco_common::wire::{WireDecode, WireEncode};
 use disco_common::{AttributeDef, DataType, Schema, Tuple, Value};
+use disco_sources::vstream::{no_meter, BatchSource, BatchStream, HashJoinStream};
 use disco_sources::{exec, vexec, BatchAnswer, ExecStats, SubAnswer};
 
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -46,6 +52,16 @@ const EQUIVALENCE_UP_TO: usize = 10_000;
 /// join at this input size.
 const JOIN_TARGET_ROWS: usize = 100_000;
 const JOIN_TARGET_SPEEDUP: f64 = 3.0;
+
+/// Streamed/batch wall-clock ratio allowed on the three-way join at
+/// `JOIN_TARGET_ROWS`.
+const STREAM_RATIO_LIMIT: f64 = 1.5;
+/// Chunk size of the streamed join's sources (the executor's default).
+const STREAM_CHUNK_ROWS: usize = 1_024;
+
+/// Wall-clock ceiling for the batch three-way join at 1 M rows.
+const JOIN_1M_ROWS: usize = 1_000_000;
+const JOIN_1M_LIMIT_MS: f64 = 400.0;
 
 const UNION_PARTS: usize = 8;
 
@@ -261,6 +277,39 @@ fn join_batches(inp: &JoinInputs) -> Vec<Tuple> {
     .to_tuples()
 }
 
+/// Streamed path for the three-way join: both joins as
+/// `HashJoinStream`s over 1,024-row chunks of the decoded inputs, the
+/// answer extended chunk by chunk.
+fn join_stream(inp: &JoinInputs) -> Vec<Tuple> {
+    let source = |schema: &Schema, bytes: &[u8]| -> Box<dyn BatchStream> {
+        let answer = BatchAnswer::from_wire_bytes(bytes).expect("decodes");
+        Box::new(BatchSource::new(
+            schema.clone(),
+            answer.batch,
+            STREAM_CHUNK_ROWS,
+        ))
+    };
+    let ab = HashJoinStream::new(
+        source(&inp.a_schema, &inp.a),
+        source(&inp.b_schema, &inp.b),
+        JoinPredicate::equi("id", "aid"),
+        no_meter(),
+        0.0,
+    );
+    let mut abc = HashJoinStream::new(
+        Box::new(ab),
+        source(&inp.c_schema, &inp.c),
+        JoinPredicate::equi("bid", "cid"),
+        no_meter(),
+        0.0,
+    );
+    let mut out = Vec::new();
+    while let Some(chunk) = abc.next_batch().expect("joins") {
+        out.extend((0..chunk.len()).map(|row| chunk.tuple_at(row)));
+    }
+    out
+}
+
 /// Best-of-k wall time (ms) and the run's output. Never fewer than two
 /// repetitions: best-of-1 at the large sizes is noise-prone enough to
 /// flake the asserted speedup target on a loaded host.
@@ -342,69 +391,85 @@ fn main() {
         "out rows",
         "ms (row)",
         "ms (batch)",
+        "ms (stream)",
         "speedup",
         "equal",
     ]);
     let mut json_rows = String::new();
-    let mut join_target_speedup = None;
+    let mut join_target = None;
+    let mut join_1m = None;
     for &n in &SIZES {
         for workload in ["union", "join3"] {
-            let (row_ms, batch_ms, row_out, batch_out) = match workload {
+            let full = n <= EQUIVALENCE_UP_TO;
+            let check = |path: &str, row_out: &[Tuple], out: &[Tuple]| {
+                let what = format!("{workload} ({path})");
+                if full {
+                    assert_eq!(
+                        row_out, out,
+                        "row and {path} outputs diverge: {what} at {n} rows"
+                    );
+                } else {
+                    // Full comparison would dwarf the measurement; a
+                    // strided positional sample still catches real
+                    // divergence anywhere in the output.
+                    assert_sampled_equal(&what, n, row_out, out);
+                }
+            };
+            let (row_ms, batch_ms, stream_ms, out_rows) = match workload {
                 "union" => {
                     let (schema, parts) = union_parts(n);
                     let (row_ms, row_out) = measure(n, || union_rows(&schema, &parts));
                     let (batch_ms, batch_out) = measure(n, || union_batches(&schema, &parts));
-                    (row_ms, batch_ms, row_out, batch_out)
+                    check("batch", &row_out, &batch_out);
+                    (row_ms, batch_ms, None, row_out.len())
                 }
                 _ => {
                     let inputs = join_inputs(n);
                     let (row_ms, row_out) = measure(n, || join_rows(&inputs));
                     let (batch_ms, batch_out) = measure(n, || join_batches(&inputs));
-                    (row_ms, batch_ms, row_out, batch_out)
+                    check("batch", &row_out, &batch_out);
+                    drop(batch_out);
+                    let (stream_ms, stream_out) = measure(n, || join_stream(&inputs));
+                    check("stream", &row_out, &stream_out);
+                    if n == JOIN_TARGET_ROWS {
+                        join_target = Some((row_ms, batch_ms, stream_ms));
+                    }
+                    if n == JOIN_1M_ROWS {
+                        join_1m = Some((batch_ms, stream_ms));
+                    }
+                    (row_ms, batch_ms, Some(stream_ms), row_out.len())
                 }
             };
             let speedup = row_ms / batch_ms.max(1e-9);
-            let full = n <= EQUIVALENCE_UP_TO;
-            if full {
-                assert_eq!(
-                    row_out, batch_out,
-                    "row and batch outputs diverge: {workload} at {n} rows"
-                );
-            } else {
-                // Full comparison would dwarf the measurement; a
-                // strided positional sample still catches real
-                // divergence anywhere in the output.
-                assert_sampled_equal(workload, n, &row_out, &batch_out);
-            }
-            if workload == "join3" && n == JOIN_TARGET_ROWS {
-                join_target_speedup = Some(speedup);
-            }
             t.row(vec![
                 workload.to_string(),
                 n.to_string(),
-                row_out.len().to_string(),
+                out_rows.to_string(),
                 format!("{row_ms:.2}"),
                 format!("{batch_ms:.2}"),
+                stream_ms.map_or("-".into(), |ms| format!("{ms:.2}")),
                 format!("{speedup:.1}x"),
                 if full { "full" } else { "sampled" }.to_string(),
             ]);
             if !json_rows.is_empty() {
                 json_rows.push(',');
             }
+            let stream_field =
+                stream_ms.map_or(String::new(), |ms| format!("\"stream_ms\": {ms:.3}, "));
             write!(
                 json_rows,
                 "\n    {{\"workload\": \"{workload}\", \"rows\": {n}, \
-                 \"output_rows\": {}, \"row_ms\": {row_ms:.3}, \
-                 \"batch_ms\": {batch_ms:.3}, \"speedup\": {speedup:.3}, \
+                 \"output_rows\": {out_rows}, \"row_ms\": {row_ms:.3}, \
+                 \"batch_ms\": {batch_ms:.3}, {stream_field}\"speedup\": {speedup:.3}, \
                  \"equivalence\": \"{}\"}}",
-                row_out.len(),
                 if full { "full" } else { "sampled" },
             )
             .expect("write json row");
         }
     }
     println!("{}", t.render());
-    let target = join_target_speedup.expect("join measured at the target size");
+    let (row_ms, batch_ms, stream_ms) = join_target.expect("join measured at the target size");
+    let target = row_ms / batch_ms.max(1e-9);
     println!(
         "three-way join at {JOIN_TARGET_ROWS} rows: {target:.1}x \
          (target ≥ {JOIN_TARGET_SPEEDUP:.0}x)"
@@ -412,6 +477,25 @@ fn main() {
     assert!(
         target >= JOIN_TARGET_SPEEDUP,
         "join speedup at {JOIN_TARGET_ROWS} rows fell below the target: {target:.2}x"
+    );
+    let stream_ratio = stream_ms / batch_ms.max(1e-9);
+    println!(
+        "streamed three-way join at {JOIN_TARGET_ROWS} rows: {stream_ratio:.2}x the batch time \
+         (limit {STREAM_RATIO_LIMIT}x)"
+    );
+    assert!(
+        stream_ratio <= STREAM_RATIO_LIMIT,
+        "streamed join at {JOIN_TARGET_ROWS} rows took {stream_ratio:.2}x the batch join \
+         (limit {STREAM_RATIO_LIMIT}x)"
+    );
+    let (batch_1m_ms, stream_1m_ms) = join_1m.expect("join measured at 1M rows");
+    println!(
+        "batch three-way join at {JOIN_1M_ROWS} rows: {batch_1m_ms:.1}ms \
+         (limit {JOIN_1M_LIMIT_MS:.0}ms); streamed {stream_1m_ms:.1}ms"
+    );
+    assert!(
+        batch_1m_ms <= JOIN_1M_LIMIT_MS,
+        "batch join at {JOIN_1M_ROWS} rows took {batch_1m_ms:.1}ms (limit {JOIN_1M_LIMIT_MS:.0}ms)"
     );
 
     let (off_ms, on_ms) = instrumentation_overhead();
@@ -436,6 +520,12 @@ fn main() {
          \"rows\": [1000, 1000000],\n  \
          \"join_speedup_at_100k\": {target:.3},\n  \
          \"join_speedup_target\": {JOIN_TARGET_SPEEDUP},\n  \
+         \"stream_chunk_rows\": {STREAM_CHUNK_ROWS},\n  \
+         \"join_stream_ratio_at_100k\": {stream_ratio:.3},\n  \
+         \"join_stream_ratio_limit\": {STREAM_RATIO_LIMIT},\n  \
+         \"join3_1m_batch_ms\": {batch_1m_ms:.3},\n  \
+         \"join3_1m_stream_ms\": {stream_1m_ms:.3},\n  \
+         \"join3_1m_batch_limit_ms\": {JOIN_1M_LIMIT_MS},\n  \
          \"instrumentation_pairs\": {OVERHEAD_PAIRS},\n  \
          \"instrumentation_off_ms\": {off_ms:.3},\n  \
          \"instrumentation_on_ms\": {on_ms:.3},\n  \

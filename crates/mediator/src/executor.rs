@@ -853,7 +853,7 @@ impl<'a> Executor<'a> {
             None => root,
         };
         let schema = root.schema().clone();
-        let mut chunks: Vec<Batch> = Vec::new();
+        let mut tuples: Vec<Tuple> = Vec::new();
         // After a re-plan the per-submit accounting comes from the
         // re-driven tree's states, aligned with the new plan's submit
         // order; `None` means the original plan ran to completion.
@@ -864,7 +864,7 @@ impl<'a> Executor<'a> {
                     if trace.first_row_wall_ms.is_none() && !b.is_empty() {
                         trace.first_row_wall_ms = Some(started.elapsed().as_secs_f64() * 1e3);
                     }
-                    chunks.push(b);
+                    tuples.extend((0..b.len()).map(|row| b.tuple_at(row)));
                 }
                 Ok(None) => break,
                 Err(DiscoError::Replan(_)) => {
@@ -966,7 +966,7 @@ impl<'a> Executor<'a> {
                         Some(n) => Box::new(vstream::LimitStream::new(r2, n)),
                         None => r2,
                     };
-                    chunks.clear();
+                    tuples.clear();
                     trace.first_row_wall_ms = None;
                 }
                 Err(e) => return Err(e),
@@ -1019,13 +1019,7 @@ impl<'a> Executor<'a> {
         trace.measured = Some(measured_from_tally(&tally).0);
         trace.missing.sort();
         trace.missing.dedup();
-        let batch = if chunks.is_empty() {
-            Batch::empty(schema.arity())
-        } else {
-            let refs: Vec<&Batch> = chunks.iter().collect();
-            Batch::concat(&refs)?
-        };
-        Ok((schema, batch.to_tuples(), trace))
+        Ok((schema, tuples, trace))
     }
 
     /// Open every submit site's stream, in site order — the streaming

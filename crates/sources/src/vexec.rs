@@ -10,19 +10,23 @@
 //!   string, and boolean columns, then gathers once;
 //! * **project** re-slices attribute columns (an `Arc` clone per
 //!   column), computing only constant and arithmetic columns;
-//! * **hash join** builds on the key column (hashing normalized
-//!   [`Key`]s, not formatted strings) and emits row-id pairs, gathering
-//!   output columns instead of cloning rows;
-//! * **aggregate / dedup** group on `Key` vectors;
+//! * **hash join** hashes the build side once into a [`JoinTable`]
+//!   (normalized [`Key`]s, not formatted strings) and emits row-id pairs
+//!   per probe batch, gathering output columns instead of cloning rows;
+//! * **aggregate / dedup** assign dense group ids through the same
+//!   table, comparing key cells in place;
 //! * **sort** permutes row ids and gathers once.
+//!
+//! The table is a pre-sized chain over `u32` ids: `first[bucket]` heads
+//! a chain threaded through `next[id]`, the bucket comes from the high
+//! bits of a multiplicative hash, and every lookup compares real `Key`s.
 //!
 //! One documented divergence: the row operators key composite
 //! (dedup/group) values by joining per-cell strings with `|`, which can
 //! collide when string cells contain the separator; the columnar path
-//! keys on structured `Vec<Option<Key>>`, which cannot. Equivalence
-//! holds on any data free of such engineered collisions.
+//! compares cell by cell, which cannot. Equivalence holds on any data
+//! free of such engineered collisions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use disco_algebra::logical::AggExpr;
@@ -220,60 +224,132 @@ pub fn project(
     Ok((out_schema, Batch::from_columns(columns)?))
 }
 
-/// Key column view used by the joins: precomputes dictionary keys so
-/// hashing a dictionary column touches only codes.
-fn keys_of(col: &Column) -> Vec<Option<Key<'_>>> {
-    match col.data() {
-        ColumnData::Str { dict, codes } => {
-            let per_code: Vec<Key<'_>> = dict.iter().map(|s| Key::Str(s.as_str())).collect();
-            codes
-                .iter()
-                .enumerate()
-                .map(|(row, &c)| {
-                    if col.is_valid(row) {
-                        Some(per_code[c as usize])
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        }
-        ColumnData::Long(data) => data
-            .iter()
-            .enumerate()
-            .map(|(row, &n)| {
-                if col.is_valid(row) {
-                    Some(Key::num(n as f64))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        ColumnData::Double(data) => data
-            .iter()
-            .enumerate()
-            .map(|(row, &d)| {
-                if col.is_valid(row) {
-                    Some(Key::num(d))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        _ => (0..col.len()).map(|row| col.key_at(row)).collect(),
+// ---------------------------------------------------------------------------
+// Chained hash table
+// ---------------------------------------------------------------------------
+
+/// End of a chain in [`Chains`].
+const NIL: u32 = u32::MAX;
+
+/// 2^64 / φ, the multiplier of Fibonacci hashing.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Hash of a null cell. Dedup and aggregate group nulls together; joins
+/// never look a null key up.
+const NULL_HASH: u64 = 0x6a09_e667_f3bc_c909;
+
+/// Hash of a key, consistent with `Key` equality: numbers hash their
+/// normalized `f64` bits, so `Long(2)` and `Double(2.0)` (and `-0.0` and
+/// `0.0`) land together.
+#[inline]
+fn hash_key(k: Key<'_>) -> u64 {
+    match k {
+        Key::Num(bits) => bits,
+        Key::Bool(b) => 0x2545_f491_4f6c_dd1d ^ b as u64,
+        Key::Str(s) => hash_str(s),
     }
 }
 
-/// Hash equi-join emitting row-id pairs, then gathering (vectorized
-/// `exec::hash_join`). Output rows appear in the same order as the row
-/// path: probe order outer, build insertion order inner.
-pub fn hash_join(
+/// Word-at-a-time multiplicative string hash.
+fn hash_str(s: &str) -> u64 {
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(GOLDEN).rotate_left(29);
+    let mut words = s.as_bytes().chunks_exact(8);
+    let mut h = (s.len() as u64).wrapping_mul(GOLDEN);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut buf = [0u8; 8];
+        buf[..rest.len()].copy_from_slice(rest);
+        h = step(h, u64::from_le_bytes(buf));
+    }
+    h
+}
+
+/// Per-row key hashes of `col`, `NULL_HASH` for null cells. Typed loops
+/// for numeric columns; a dictionary column hashes each distinct string
+/// once when it has no more strings than rows (a small probe chunk of a
+/// large shared dictionary hashes per row instead).
+fn column_hashes(col: &Column) -> Vec<u64> {
+    fn per_row(col: &Column, hash: impl Fn(usize) -> u64) -> Vec<u64> {
+        (0..col.len())
+            .map(|row| {
+                if col.is_valid(row) {
+                    hash(row)
+                } else {
+                    NULL_HASH
+                }
+            })
+            .collect()
+    }
+    match col.data() {
+        ColumnData::Long(v) => per_row(col, |row| hash_key(Key::num(v[row] as f64))),
+        ColumnData::Double(v) => per_row(col, |row| hash_key(Key::num(v[row]))),
+        ColumnData::Str { dict, codes } if dict.len() <= codes.len() => {
+            let per_code: Vec<u64> = dict.iter().map(|s| hash_str(s)).collect();
+            per_row(col, |row| per_code[codes[row] as usize])
+        }
+        ColumnData::Str { dict, codes } => per_row(col, |row| hash_str(&dict[codes[row] as usize])),
+        _ => per_row(col, |row| col.key_at(row).map_or(NULL_HASH, hash_key)),
+    }
+}
+
+/// A pre-sized chained hash table over dense `u32` entry ids (build rows
+/// of a join, groups of a dedup or aggregate): `first[bucket]` heads a
+/// chain threaded through `next[entry]`. The bucket is read from the
+/// high bits of a multiplicative hash of the folded key hash — integer
+/// keys, as `f64` bits, have all-zero low bits. Chains hold every entry
+/// of a bucket, so callers compare real keys, never just hashes.
+struct Chains {
+    shift: u32,
+    first: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// Room for `entries` ids at a load factor of at most one.
+    fn new(entries: usize) -> Self {
+        let buckets = entries.next_power_of_two().max(2);
+        Chains {
+            shift: 64 - buckets.trailing_zeros(),
+            first: vec![NIL; buckets],
+            next: vec![NIL; entries],
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, hash: u64) -> usize {
+        ((hash ^ (hash >> 32)).wrapping_mul(GOLDEN) >> self.shift) as usize
+    }
+
+    /// First entry of the chain `hash` falls in, or `NIL`.
+    #[inline]
+    fn head(&self, hash: u64) -> u32 {
+        self.first[self.bucket(hash)]
+    }
+
+    /// Entry after `entry` in its chain, or `NIL`.
+    #[inline]
+    fn next(&self, entry: u32) -> u32 {
+        self.next[entry as usize]
+    }
+
+    /// Link `entry` at the front of its chain.
+    fn push_front(&mut self, entry: u32, hash: u64) {
+        let b = self.bucket(hash);
+        self.next[entry as usize] = self.first[b];
+        self.first[b] = entry;
+    }
+}
+
+/// Resolve an equi-join predicate to its (left, right) key column
+/// positions, with the same checks and error texts as `exec::hash_join`.
+pub(crate) fn equi_join_keys(
     left_schema: &Schema,
-    left: &Batch,
     right_schema: &Schema,
-    right: &Batch,
     pred: &JoinPredicate,
-) -> Result<Batch> {
+) -> Result<(usize, usize)> {
     if pred.op != CompareOp::Eq {
         return Err(DiscoError::Exec(format!(
             "hash join requires an equality predicate, got `{}`",
@@ -286,27 +362,117 @@ pub fn hash_join(
     let ri = right_schema
         .index_of(&pred.right_attr)
         .ok_or_else(|| DiscoError::Exec(format!("unknown join attribute `{}`", pred.right_attr)))?;
-    let rkeys = keys_of(right.column(ri));
-    let mut table: HashMap<Key<'_>, Vec<u32>> = HashMap::new();
-    for (row, k) in rkeys.iter().enumerate() {
-        if let Some(k) = k {
-            table.entry(*k).or_default().push(row as u32);
-        }
-    }
-    let lkeys = keys_of(left.column(li));
-    let mut lids: Vec<u32> = Vec::new();
-    let mut rids: Vec<u32> = Vec::new();
-    for (row, k) in lkeys.iter().enumerate() {
-        let Some(k) = k else { continue };
-        if let Some(matches) = table.get(k) {
-            for &r in matches {
-                lids.push(row as u32);
-                rids.push(r);
+    Ok((li, ri))
+}
+
+/// The build side of a hash equi-join, hashed once and probed any
+/// number of times — once for a one-shot join, once per chunk for a
+/// streamed one. Null build keys are never linked, so they never match.
+pub struct JoinTable {
+    build: Batch,
+    key: usize,
+    chains: Chains,
+}
+
+impl JoinTable {
+    /// Hash `build` on its column `key`.
+    pub fn new(build: Batch, key: usize) -> Self {
+        let col = build.column(key);
+        let hashes = column_hashes(col);
+        let mut chains = Chains::new(build.len());
+        // Back to front, so each chain lists build rows in insertion order.
+        for row in (0..build.len()).rev() {
+            if col.is_valid(row) {
+                chains.push_front(row as u32, hashes[row]);
             }
         }
+        JoinTable { build, key, chains }
     }
-    observe("hash_join", lids.len());
-    left.take(&lids).hstack(&right.take(&rids))
+
+    /// Join `probe` (on its column `key`) against the build side: probe
+    /// columns then build columns, probe order outer, build insertion
+    /// order inner — the row path's order.
+    pub fn probe(&self, probe: &Batch, key: usize) -> Result<Batch> {
+        let (pcol, bcol) = (probe.column(key), self.build.column(self.key));
+        let hashes = column_hashes(pcol);
+        let mut lids: Vec<u32> = Vec::new();
+        let mut rids: Vec<u32> = Vec::new();
+        for (row, &h) in hashes.iter().enumerate() {
+            let Some(k) = pcol.key_at(row) else { continue };
+            let mut r = self.chains.head(h);
+            while r != NIL {
+                if bcol.key_at(r as usize) == Some(k) {
+                    lids.push(row as u32);
+                    rids.push(r);
+                }
+                r = self.chains.next(r);
+            }
+        }
+        observe("hash_join", lids.len());
+        probe.take(&lids).hstack(&self.build.take(&rids))
+    }
+}
+
+/// Hash equi-join emitting row-id pairs, then gathering (vectorized
+/// `exec::hash_join`): builds a [`JoinTable`] on the right side and
+/// probes it with the left. Output rows appear in the same order as the
+/// row path: probe order outer, build insertion order inner.
+pub fn hash_join(
+    left_schema: &Schema,
+    left: &Batch,
+    right_schema: &Schema,
+    right: &Batch,
+    pred: &JoinPredicate,
+) -> Result<Batch> {
+    let (li, ri) = equi_join_keys(left_schema, right_schema, pred)?;
+    JoinTable::new(right.clone(), ri).probe(left, li)
+}
+
+/// Dense group ids in first-appearance order: the group of every row and
+/// the first row of every group. `same(a, b)` compares the real keys of
+/// rows `a` and `b`; equal hashes only short-list candidates.
+fn group_rows(hashes: &[u64], same: impl Fn(usize, usize) -> bool) -> (Vec<u32>, Vec<u32>) {
+    let mut chains = Chains::new(hashes.len());
+    let mut group_of = Vec::with_capacity(hashes.len());
+    let mut reps: Vec<u32> = Vec::new();
+    for (row, &h) in hashes.iter().enumerate() {
+        let mut g = chains.head(h);
+        while g != NIL {
+            let rep = reps[g as usize] as usize;
+            if hashes[rep] == h && same(rep, row) {
+                break;
+            }
+            g = chains.next(g);
+        }
+        if g == NIL {
+            g = reps.len() as u32;
+            reps.push(row as u32);
+            chains.push_front(g, h);
+        }
+        group_of.push(g);
+    }
+    (group_of, reps)
+}
+
+/// Group the rows of `batch` on the columns at `cols` (nulls group
+/// together). A single column keys on its own hashes and cells; several
+/// columns combine per-column hashes and compare cell by cell. No key is
+/// allocated per row on either path.
+fn group_on(batch: &Batch, cols: &[usize]) -> (Vec<u32>, Vec<u32>) {
+    if let [c] = cols {
+        let col = batch.column(*c);
+        return group_rows(&column_hashes(col), |a, b| col.key_at(a) == col.key_at(b));
+    }
+    let cols: Vec<&Column> = cols.iter().map(|&c| &**batch.column(c)).collect();
+    let mut hashes = vec![0u64; batch.len()];
+    for col in &cols {
+        for (h, c) in hashes.iter_mut().zip(column_hashes(col)) {
+            *h = (h.rotate_left(26) ^ c).wrapping_mul(GOLDEN);
+        }
+    }
+    group_rows(&hashes, |a, b| {
+        cols.iter().all(|c| c.key_at(a) == c.key_at(b))
+    })
 }
 
 /// Nested-loop join for arbitrary comparison predicates (vectorized
@@ -343,17 +509,10 @@ pub fn nested_loop_join(
 /// Duplicate elimination, first occurrence wins (vectorized
 /// `exec::dedup`).
 pub fn dedup(batch: &Batch) -> Batch {
-    let per_col: Vec<Vec<Option<Key<'_>>>> = batch.columns().iter().map(|c| keys_of(c)).collect();
-    let mut seen: HashMap<Vec<Option<Key<'_>>>, ()> = HashMap::new();
-    let mut sel: Vec<u32> = Vec::new();
-    for row in 0..batch.len() {
-        let key: Vec<Option<Key<'_>>> = per_col.iter().map(|c| c[row]).collect();
-        if seen.insert(key, ()).is_none() {
-            sel.push(row as u32);
-        }
-    }
-    observe("dedup", sel.len());
-    batch.take(&sel)
+    let all: Vec<usize> = (0..batch.arity()).collect();
+    let (_, reps) = group_on(batch, &all);
+    observe("dedup", reps.len());
+    batch.take(&reps)
 }
 
 /// Stable multi-key sort via a row-id permutation (vectorized
@@ -460,22 +619,10 @@ pub fn aggregate(
         }
     }
 
-    let group_keys: Vec<Vec<Option<Key<'_>>>> = group_idx
-        .iter()
-        .map(|&i| keys_of(batch.column(i)))
-        .collect();
-    let mut groups: HashMap<Vec<Option<Key<'_>>>, usize> = HashMap::new();
-    // Per group: representative key row id + accumulators.
-    let mut reps: Vec<u32> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
-    for row in 0..batch.len() {
-        let key: Vec<Option<Key<'_>>> = group_keys.iter().map(|c| c[row]).collect();
-        let gid = *groups.entry(key).or_insert_with(|| {
-            reps.push(row as u32);
-            accs.push(vec![Acc::new(); aggs.len()]);
-            accs.len() - 1
-        });
-        for (acc, idx) in accs[gid].iter_mut().zip(&agg_idx) {
+    let (group_of, reps) = group_on(batch, &group_idx);
+    let mut accs: Vec<Vec<Acc>> = vec![vec![Acc::new(); aggs.len()]; reps.len()];
+    for (row, &gid) in group_of.iter().enumerate() {
+        for (acc, idx) in accs[gid as usize].iter_mut().zip(&agg_idx) {
             if let Some(i) = idx {
                 acc.feed(batch.value_ref(row, *i));
             } else {
@@ -667,6 +814,63 @@ mod tests {
         let r = Batch::from_tuples(1, &[Tuple::new(vec![Value::Double(2.0)])]);
         let out = hash_join(&s, &l, &s, &r, &JoinPredicate::equi("k", "k")).unwrap();
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn chains_compare_keys_not_hashes() {
+        // Distinct keys picked to share one bucket of an 8-row build.
+        let chains = Chains::new(8);
+        let bucket = |n: i64| chains.bucket(hash_key(Key::num(n as f64)));
+        let same: Vec<i64> = (1..100_000)
+            .filter(|&n| bucket(n) == bucket(0))
+            .take(3)
+            .collect();
+        assert_eq!(same.len(), 3);
+        let keys = [0, same[0], same[1], 0, same[2], same[0], 0, same[1]];
+        let s = Schema::new(vec![AttributeDef::new("k", DataType::Long)]);
+        let build: Vec<Tuple> = keys
+            .iter()
+            .map(|&k| Tuple::new(vec![Value::Long(k)]))
+            .collect();
+        let probe: Vec<Tuple> = [same[1], 0, -1, same[2]]
+            .iter()
+            .map(|&k| Tuple::new(vec![Value::Double(k as f64)]))
+            .collect();
+        let pred = JoinPredicate::equi("k", "k");
+        let row = exec::hash_join(&s, &probe, &s, &build, &pred).unwrap();
+        let (pb, bb) = (Batch::from_tuples(1, &probe), Batch::from_tuples(1, &build));
+        let col = hash_join(&s, &pb, &s, &bb, &pred).unwrap();
+        assert_eq!(col.to_tuples(), row);
+        assert_eq!(col.len(), 2 + 3 + 1);
+        assert_eq!(dedup(&bb).to_tuples(), exec::dedup(&build));
+        assert_eq!(dedup(&bb).len(), 4);
+
+        // A bool and a number whose key hashes are equal, not just their
+        // buckets: neither may match the other.
+        let twin = Value::Double(f64::from_bits(hash_key(Key::Bool(false))));
+        assert_eq!(
+            hash_key(ValueRef::from_value(&twin).key().unwrap()),
+            hash_key(Key::Bool(false))
+        );
+        let any = Schema::new(vec![AttributeDef::new("k", DataType::Str)]);
+        let cells = vec![
+            Tuple::new(vec![Value::Bool(false)]),
+            Tuple::new(vec![twin.clone()]),
+        ];
+        let b = Batch::from_tuples(1, &cells);
+        let out = hash_join(&any, &b, &any, &b, &JoinPredicate::equi("k", "k")).unwrap();
+        assert_eq!(
+            out.to_tuples(),
+            exec::hash_join(&any, &cells, &any, &cells, &pred).unwrap()
+        );
+        assert_eq!(out.len(), 2);
+        assert_eq!(dedup(&b).len(), 2);
+        // The same twins in the second column of a composite key.
+        let pairs = vec![
+            Tuple::new(vec![Value::Long(1), Value::Bool(false)]),
+            Tuple::new(vec![Value::Long(1), twin]),
+        ];
+        assert_eq!(dedup(&Batch::from_tuples(2, &pairs)).len(), 2);
     }
 
     #[test]

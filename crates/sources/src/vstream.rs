@@ -47,18 +47,19 @@ pub trait BatchStream {
     fn next_batch(&mut self) -> Result<Option<Batch>>;
 }
 
-/// Drain a stream to a single batch (concatenation of its chunks).
+/// Drain a stream to a single batch: the concatenation of its chunks, or
+/// a lone chunk as it came.
 pub fn drain(stream: &mut dyn BatchStream) -> Result<Batch> {
     let arity = stream.schema().arity();
     let mut chunks = Vec::new();
     while let Some(b) = stream.next_batch()? {
         chunks.push(b);
     }
-    if chunks.is_empty() {
-        return Ok(Batch::empty(arity));
+    match chunks.len() {
+        0 => Ok(Batch::empty(arity)),
+        1 => Ok(chunks.pop().expect("one chunk")),
+        _ => Batch::concat(&chunks.iter().collect::<Vec<_>>()),
     }
-    let refs: Vec<&Batch> = chunks.iter().collect();
-    Batch::concat(&refs)
 }
 
 /// An in-memory source serving a pre-built batch in bounded chunks —
@@ -205,8 +206,9 @@ impl BatchStream for ProjectStream {
 }
 
 /// Streaming hash join: drains and charges the build (right) side on
-/// the first pull, then probes with each left chunk as it arrives —
-/// output order matches the one-shot join (probe order outer).
+/// the first pull, hashes it once into a [`vexec::JoinTable`] at the
+/// first left chunk, then probes that table with each left chunk as it
+/// arrives — output order matches the one-shot join (probe order outer).
 pub struct HashJoinStream {
     left: Box<dyn BatchStream>,
     right: Box<dyn BatchStream>,
@@ -216,6 +218,8 @@ pub struct HashJoinStream {
     /// Simulated ms per build/probe/output row (`CpuHash`).
     cpu_hash: f64,
     build: Option<Batch>,
+    /// The hashed build side and the left key column.
+    table: Option<(vexec::JoinTable, usize)>,
 }
 
 impl HashJoinStream {
@@ -235,6 +239,7 @@ impl HashJoinStream {
             meter,
             cpu_hash,
             build: None,
+            table: None,
         }
     }
 }
@@ -254,14 +259,19 @@ impl BatchStream for HashJoinStream {
             None => Ok(None),
             Some(lb) => {
                 (self.meter)(lb.len() as f64 * self.cpu_hash);
-                let build = self.build.as_ref().expect("build side drained");
-                let out = vexec::hash_join(
-                    self.left.schema(),
-                    &lb,
-                    self.right.schema(),
-                    build,
-                    &self.predicate,
-                )?;
+                if self.table.is_none() {
+                    // Checked at the first probe chunk, where the one-shot
+                    // join over the drained inputs would report it.
+                    let (li, ri) = vexec::equi_join_keys(
+                        self.left.schema(),
+                        self.right.schema(),
+                        &self.predicate,
+                    )?;
+                    let build = self.build.clone().expect("build side drained");
+                    self.table = Some((vexec::JoinTable::new(build, ri), li));
+                }
+                let (table, li) = self.table.as_ref().expect("build side hashed");
+                let out = table.probe(&lb, *li)?;
                 (self.meter)(out.len() as f64 * self.cpu_hash);
                 Ok(Some(out))
             }

@@ -16,7 +16,10 @@ use disco_algebra::{AggFunc, CompareOp, JoinPredicate, Predicate, ScalarExpr, Se
 use disco_common::rng::{seeded, StdRng};
 use disco_common::wire::{WireDecode, WireEncode};
 use disco_common::{AttributeDef, Batch, DataType, Schema, Tuple, Value};
+use disco_sources::vstream::{self, BatchSource, HashJoinStream, Meter};
 use disco_sources::{exec, vexec, BatchAnswer, ExecStats, SubAnswer};
+use std::cell::Cell;
+use std::rc::Rc;
 
 const SEEDS: u64 = 25;
 
@@ -227,6 +230,133 @@ fn join_equivalence() {
         )
         .unwrap();
         assert_eq!(batch.to_tuples(), rows, "seed {seed} nl {pred}");
+    }
+}
+
+/// A join or grouping key cell drawn from few distinct values, so build
+/// keys repeat. `shape` fixes the column's storage: 0 `Long`, 1 `Double`
+/// (both zeroes), 2 dictionary strings, 3 a mixed `Any` column holding
+/// all of those plus booleans. About one cell in five is `Null`.
+fn key_value(rng: &mut StdRng, shape: usize) -> Value {
+    if rng.gen_range(0..5i64) == 0 {
+        return Value::Null;
+    }
+    let n = rng.gen_range(-3..4i64);
+    let number = |rng: &mut StdRng| match (n, rng.gen_range(0..2i64)) {
+        (0, 0) => Value::Double(-0.0),
+        _ => Value::Double(n as f64),
+    };
+    match shape {
+        0 => Value::Long(n),
+        1 => number(rng),
+        2 => Value::Str(format!("k{n}")),
+        _ => match rng.gen_range(0..4i64) {
+            0 => Value::Long(n),
+            1 => number(rng),
+            2 => Value::Str(format!("k{n}")),
+            _ => Value::Bool(n > 0),
+        },
+    }
+}
+
+/// Up to 80 rows of (key, payload): the key from [`key_value`] with the
+/// given shape, the payload a running row number.
+fn keyed_side(rng: &mut StdRng, prefix: &str, shape: usize) -> (Schema, Vec<Tuple>) {
+    let schema = Schema::new(vec![
+        AttributeDef::new(format!("{prefix}k"), DataType::Str),
+        AttributeDef::new(format!("{prefix}p"), DataType::Long),
+    ]);
+    let rows = rng.gen_range(0..80usize);
+    let tuples = (0..rows)
+        .map(|i| Tuple::new(vec![key_value(rng, shape), Value::Long(i as i64)]))
+        .collect();
+    (schema, tuples)
+}
+
+fn counting_meter() -> (Meter, Rc<Cell<f64>>) {
+    let total = Rc::new(Cell::new(0.0));
+    let t = Rc::clone(&total);
+    (Rc::new(move |ms| t.set(t.get() + ms)), total)
+}
+
+#[test]
+fn streamed_hash_join_equivalence() {
+    const CPU_HASH: f64 = 0.02;
+    for seed in 0..SEEDS {
+        let mut rng = seeded(seed, "batch-stream-join");
+        let (lshape, rshape) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+        let (ls, lt) = keyed_side(&mut rng, "l", lshape);
+        let (rs, rt) = keyed_side(&mut rng, "r", rshape);
+        let (lb, rb) = (Batch::from_tuples(2, &lt), Batch::from_tuples(2, &rt));
+        let pred = JoinPredicate::equi("lk", "rk");
+        let rows = exec::hash_join(&ls, &lt, &rs, &rt, &pred).unwrap();
+        let one_shot = vexec::hash_join(&ls, &lb, &rs, &rb, &pred).unwrap();
+        assert_eq!(one_shot.to_tuples(), rows, "seed {seed} one-shot");
+        let charge = (lt.len() + rt.len() + rows.len()) as f64 * CPU_HASH;
+        for chunk in [1, 2, 7, 1024] {
+            let (meter, total) = counting_meter();
+            let mut s = HashJoinStream::new(
+                Box::new(BatchSource::new(ls.clone(), lb.clone(), chunk)),
+                Box::new(BatchSource::new(rs.clone(), rb.clone(), chunk)),
+                pred.clone(),
+                meter,
+                CPU_HASH,
+            );
+            let streamed = vstream::drain(&mut s).unwrap();
+            assert_eq!(streamed.to_tuples(), rows, "seed {seed} chunk {chunk}");
+            assert!(
+                (total.get() - charge).abs() < 1e-9,
+                "seed {seed} chunk {chunk}: charged {} expected {charge}",
+                total.get()
+            );
+        }
+    }
+}
+
+#[test]
+fn grouping_single_and_composite_keys_agree_with_row_path() {
+    let count = AggExpr {
+        name: "n".into(),
+        func: AggFunc::Count,
+        arg: None,
+    };
+    let sum = AggExpr {
+        name: "s".into(),
+        func: AggFunc::Sum,
+        arg: Some("p".into()),
+    };
+    for seed in 0..SEEDS {
+        let mut rng = seeded(seed, "batch-grouping-keys");
+        let schema = Schema::new(vec![
+            AttributeDef::new("a", DataType::Str),
+            AttributeDef::new("b", DataType::Str),
+            AttributeDef::new("p", DataType::Long),
+        ]);
+        let (sa, sb) = (rng.gen_range(0..4usize), rng.gen_range(0..4usize));
+        let tuples: Vec<Tuple> = (0..rng.gen_range(0..80usize))
+            .map(|i| {
+                // Composite keys that are NULL in one column only
+                // (besides both and neither).
+                let (a, b) = (key_value(&mut rng, sa), key_value(&mut rng, sb));
+                Tuple::new(vec![a, b, Value::Long(i as i64 % 5)])
+            })
+            .collect();
+        let batch = Batch::from_tuples(3, &tuples);
+        let aggs = [count.clone(), sum.clone()];
+        for group_by in [vec!["a"], vec!["b"], vec!["a", "b"], vec!["b", "a"]] {
+            let group_by: Vec<String> = group_by.into_iter().map(String::from).collect();
+            let rows = exec::aggregate(&schema, &tuples, &group_by, &aggs).unwrap();
+            let batch = vexec::aggregate(&schema, &batch, &group_by, &aggs).unwrap();
+            assert_eq!(batch.to_tuples(), rows, "seed {seed} group_by {group_by:?}");
+        }
+        for cols in [vec![0], vec![1], vec![0, 1]] {
+            let keys = batch.select_columns(&cols);
+            assert_eq!(
+                vexec::dedup(&keys).to_tuples(),
+                exec::dedup(&keys.to_tuples()),
+                "seed {seed} dedup on {cols:?}"
+            );
+        }
     }
 }
 
